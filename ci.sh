@@ -91,6 +91,13 @@ cargo test -p sparklite --offline -q --lib batch::tests::sort
 cargo test -p sparklite --offline -q --lib batch::tests::group
 cargo test -p sparklite --offline -q --lib batch::tests::bucket_merge
 
+# The repo benchmark (perfbench/, its own cargo workspace) ships
+# self-tests: at 1,500 objects they run group and sort on all three
+# workloads and check every answer against the hand-tuned and naive
+# references.
+step "perfbench self-tests"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release"
   cargo build --release --offline

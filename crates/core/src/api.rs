@@ -351,6 +351,27 @@ mod tests {
             .unwrap();
         assert_eq!(grouped.items.len(), 3);
         assert!(grouped.plan.contains("mode=dataframe"), "plan:\n{}", grouped.plan);
+        // Its key is a static path on the scan variable, so the key cells
+        // are built straight from the scan items: the `$e.country` subtree
+        // never opens, and the plan says so.
+        let never_opened = |plan: &str, op: &str| {
+            let line = plan.lines().find(|l| l.contains(op));
+            assert!(line.is_some_and(|l| l.ends_with("[not executed]")), "{op} ran; plan:\n{plan}");
+        };
+        never_opened(&grouped.plan, "Postfix(.country)");
+        never_opened(&grouped.plan, "VarRef($e)");
+
+        // Same for order-by keys; the return clause still reads `$e` whole.
+        let sorted_q = "for $e in json-file(\"hdfs:///prof.json\")
+                        where $e.guess_language ne \"l0\"
+                        order by $e.country descending
+                        return $e.guess_language";
+        let sorted = r.analyze_profile(sorted_q).unwrap();
+        assert_eq!(sorted.items, r.run(sorted_q).unwrap());
+        assert_eq!(sorted.items.len(), 48);
+        assert!(sorted.plan.contains("mode=dataframe"), "plan:\n{}", sorted.plan);
+        never_opened(&sorted.plan, "Postfix(.country)");
+        assert!(sorted.plan.contains("rows=48"), "plan:\n{}", sorted.plan);
 
         // Purely local pipelines profile too.
         let local = r.analyze_profile("sum(for $i in 1 to 50 return $i)").unwrap();

@@ -12,8 +12,8 @@ use super::{
 };
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{decode_items, group_key, seq, Item};
-use crate::runtime::{eval_ebv, DynamicContext, ExprRef};
-use sparklite::dataframe::{Agg, NamedExpr};
+use crate::runtime::{eval_ebv, follow_key_path, DynamicContext, ExprRef};
+use sparklite::dataframe::{Agg, NamedExpr, Row};
 use sparklite::dataframe::{DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, Value};
 use sparklite::rdd::task_bail;
 use std::collections::HashMap;
@@ -103,6 +103,140 @@ fn row_udf(
             Err(e) => task_bail(e),
         }
     })
+}
+
+// ---------------------------------------------------------------------------
+// §4.7/§4.8 key columns
+// ---------------------------------------------------------------------------
+
+/// Suffix and type of the §4.7 columns `__k{i}{suffix}` of group key `i`.
+const GROUP_CELLS: [(&str, DataType); 3] =
+    [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64)];
+
+/// Suffix and type of the §4.8 columns `__o{i}{suffix}` of sort key `i`.
+const ORDER_CELLS: [(&str, DataType); 4] =
+    [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64), ("c", DataType::I64)];
+
+/// The native key columns of `n` keys, in cell order.
+fn key_fields(prefix: &str, n: usize, cells: &[(&str, DataType)]) -> Vec<Field> {
+    (0..n)
+        .flat_map(|i| {
+            cells.iter().map(move |(s, dtype)| Field::new(format!("{prefix}{i}{s}"), *dtype))
+        })
+        .collect()
+}
+
+/// Appends the §4.7 cells `(type tag, string, double)` of one grouping key.
+fn push_group_cells(value: &[Item], row: &mut Row) -> Result<()> {
+    let (t, s, d) = group_key(value)?.encode();
+    row.extend([Value::I64(t), Value::Str(s), Value::F64(d)]);
+    Ok(())
+}
+
+/// Appends the §4.8 cells `(rank, string, double, class)` of one sort key.
+fn push_order_cells(value: &[Item], empty_greatest: bool, row: &mut Row) -> Result<()> {
+    let key = OrderKey::of(value)?;
+    let (s, d) = match &key {
+        OrderKey::Str(s) => (Arc::clone(s), 0.0),
+        OrderKey::Num(n) => (Arc::from(""), *n),
+        _ => (Arc::from(""), 0.0),
+    };
+    row.extend([
+        Value::I64(key.rank(empty_greatest) as i64),
+        Value::Str(s),
+        Value::F64(d),
+        Value::I64(key.class().map_or(0, i64::from)),
+    ]);
+    Ok(())
+}
+
+/// Generic key path: adds the `List` column `list` of encoded key cells,
+/// computed by ONE UDF (so the row's variables are decoded once), then
+/// splits it into one native column per field and drops it.
+fn with_key_cells(
+    df: DataFrame,
+    list: &'static str,
+    udf: DfExpr,
+    fields: Vec<Field>,
+) -> Result<DataFrame> {
+    let mut df = df.with_column(list, udf, DataType::List)?;
+    for (cell, field) in fields.into_iter().enumerate() {
+        let extract = DfExpr::udf(
+            field.name.clone(),
+            Some(vec![list.to_string()]),
+            move |schema: &Schema, row: &[Value]| {
+                let idx = schema.index_of(list).expect("encoded column exists");
+                match &row[idx] {
+                    Value::List(l) => l[cell].clone(),
+                    _ => task_bail("encoded key must be a list"),
+                }
+            },
+        );
+        df = df.with_column(field.name, extract, field.dtype)?;
+    }
+    Ok(df.drop_columns(&[list])?)
+}
+
+/// The union of the variables a set of key expressions reads.
+fn union_uses<'a>(uses: impl IntoIterator<Item = &'a [Arc<str>]>) -> Vec<Arc<str>> {
+    let mut out: Vec<Arc<str>> = Vec::new();
+    for u in uses.into_iter().flatten() {
+        if !out.contains(u) {
+            out.push(Arc::clone(u));
+        }
+    }
+    out
+}
+
+/// The sequence a static key path selects on one item.
+fn path_value<'a>(item: &'a Item, path: &[Arc<str>]) -> &'a [Item] {
+    follow_key_path(item, path).map_or(&[], std::slice::from_ref)
+}
+
+/// The fused scan directly under a group-by or order-by, with every key's
+/// static path on the scan variable (`path_of` answers per key), if the
+/// scan runs distributed in `ctx` and every key has that shape.
+fn scan_key_paths<K>(
+    parent: &ClauseRef,
+    ctx: &DynamicContext,
+    keys: &[K],
+    path_of: impl Fn(&K, &Arc<str>) -> Option<Vec<Arc<str>>>,
+) -> Option<(FusedScan, Vec<Vec<Arc<str>>>)> {
+    let scan = parent.fused_scan()?;
+    let paths = keys.iter().map(|k| path_of(k, &scan.var)).collect::<Option<Vec<_>>>()?;
+    scan.is_rdd(ctx).then_some((scan, paths))
+}
+
+/// Scan-key path: when a group-by or order-by sits directly on a fused
+/// scan and every key is a static path on the scan variable, the keyed
+/// frame comes from ONE map over the filtered items. `cells` writes the
+/// native key cells straight from each item; the variable's `Bin` column
+/// is only built when `keep_var` says a later clause reads it whole. No
+/// row is serialized just for a key UDF to decode it again.
+fn scan_frame(
+    scan: FusedScan,
+    ctx: &DynamicContext,
+    keep_var: bool,
+    key_fields: Vec<Field>,
+    cells: impl Fn(&Item, &mut Row) -> Result<()> + Send + Sync + 'static,
+) -> Result<DataFrame> {
+    let mut fields = Vec::with_capacity(key_fields.len() + 1);
+    if keep_var {
+        fields.push(Field::new(scan.var.as_ref(), DataType::Bin));
+    }
+    fields.extend(key_fields);
+    let width = fields.len();
+    let rows = scan.filtered_rdd(ctx)?.map(move |item| {
+        let mut row = Vec::with_capacity(width);
+        if keep_var {
+            row.push(bin_of(std::slice::from_ref(&item)));
+        }
+        if let Err(e) = cells(&item, &mut row) {
+            task_bail(e)
+        }
+        row
+    });
+    Ok(DataFrame::from_rdd(Schema::new(fields), &rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -516,6 +650,54 @@ impl GroupByClauseIter {
         }
         GroupByClauseIter { parent, keys, nongrouping, out }
     }
+
+    /// Step 1 (§4.7): the tuple stream plus, for each key, three native
+    /// columns — type tag, string value, double value — that Spark SQL can
+    /// group on.
+    fn keyed_frame(&self, ctx: &DynamicContext) -> Result<Option<DataFrame>> {
+        let fields = key_fields("__k", self.keys.len(), &GROUP_CELLS);
+        let paths = scan_key_paths(&self.parent, ctx, &self.keys, |k, var| match &k.expr {
+            Some(e) => e.key_path(var),
+            None => (k.var == *var).then(Vec::new),
+        });
+        if let Some((scan, paths)) = paths {
+            // Only a materialized `$v` needs its column; a count-only one
+            // is a plain row COUNT (the scan variable is a unit variable).
+            let keep_var = self
+                .nongrouping
+                .iter()
+                .any(|(v, usage)| *v == scan.var && *usage == NonGroupingUsage::Materialize);
+            let df = scan_frame(scan, ctx, keep_var, fields, move |item, row| {
+                paths.iter().try_for_each(|p| push_group_cells(path_value(item, p), row))
+            })?;
+            return Ok(Some(df));
+        }
+        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+        let base = ctx.enter_executor();
+        let specs: Vec<(Option<ExprRef>, Arc<str>)> =
+            self.keys.iter().map(|s| (s.expr.clone(), Arc::clone(&s.var))).collect();
+        let uses = union_uses(self.keys.iter().map(|s| s.uses.as_slice()));
+        let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+        let udf =
+            DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
+                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut cells = Vec::with_capacity(specs.len() * GROUP_CELLS.len());
+                for (expr, var) in &specs {
+                    let value = match expr {
+                        Some(e) => match e.materialize(&child) {
+                            Ok(v) => v,
+                            Err(e) => task_bail(e),
+                        },
+                        None => child.lookup(var).map(|s| s.to_vec()).unwrap_or_default(),
+                    };
+                    if let Err(e) = push_group_cells(&value, &mut cells) {
+                        task_bail(e)
+                    }
+                }
+                Value::List(Arc::new(cells))
+            });
+        Ok(Some(with_key_cells(f.df, "__keys", udf, fields)?))
+    }
 }
 
 /// Accumulated per-group state on the local path.
@@ -604,75 +786,7 @@ impl ClauseIterator for GroupByClauseIter {
     }
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let mut df = f.df;
-
-        // Step 1 (§4.7): for each key, three native columns — type tag,
-        // string value, double value — that Spark SQL can group on. All
-        // keys are computed by ONE UDF so the row's variables are decoded
-        // once, then the native cells are cheap extractions.
-        let all_keys_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(Option<ExprRef>, Arc<str>)> =
-                self.keys.iter().map(|s| (s.expr.clone(), Arc::clone(&s.var))).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for s in &self.keys {
-                let spec_uses =
-                    if s.expr.is_some() { s.uses.clone() } else { vec![Arc::clone(&s.var)] };
-                for u in spec_uses {
-                    if !uses.iter().any(|x| x == &u) {
-                        uses.push(u);
-                    }
-                }
-            }
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
-                let mut cells = Vec::with_capacity(specs.len() * 3);
-                for (expr, var) in &specs {
-                    let value = match expr {
-                        Some(e) => match e.materialize(&child) {
-                            Ok(v) => v,
-                            Err(e) => task_bail(e),
-                        },
-                        None => child.lookup(var).map(|s| s.to_vec()).unwrap_or_default(),
-                    };
-                    match group_key(&value) {
-                        Ok(k) => {
-                            let (t, s, d) = k.encode();
-                            cells.push(Value::I64(t));
-                            cells.push(Value::Str(s));
-                            cells.push(Value::F64(d));
-                        }
-                        Err(e) => task_bail(e),
-                    }
-                }
-                Value::List(Arc::new(cells))
-            })
-        };
-        df = df.with_column("__keys", all_keys_udf, DataType::List)?;
-        for i in 0..self.keys.len() {
-            for (j, (suffix, dtype)) in
-                [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64)]
-                    .into_iter()
-                    .enumerate()
-            {
-                let cell = i * 3 + j;
-                let extract = DfExpr::udf(
-                    format!("__k{i}{suffix}"),
-                    Some(vec!["__keys".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__keys").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__k{i}{suffix}"), extract, dtype)?;
-            }
-        }
-        df = df.drop_columns(&["__keys"])?;
+        let Some(mut df) = self.keyed_frame(ctx)? else { return Ok(None) };
 
         // Step 2: pre-compute sequence lengths for count-only variables —
         // except unit variables (bound by `for`/`count`, always exactly one
@@ -700,10 +814,8 @@ impl ClauseIterator for GroupByClauseIter {
 
         // Step 3: the native GROUP BY, with SEQUENCE(x) ≈ COLLECT_LIST and
         // the COUNT optimization of §4.7.
-        let key_cols: Vec<String> = (0..self.keys.len())
-            .flat_map(|i| ["t", "s", "d"].into_iter().map(move |s| format!("__k{i}{s}")))
-            .collect();
-        let key_col_refs: Vec<&str> = key_cols.iter().map(|s| s.as_str()).collect();
+        let key_cols = key_fields("__k", self.keys.len(), &GROUP_CELLS);
+        let key_col_refs: Vec<&str> = key_cols.iter().map(|f| f.name.as_str()).collect();
         let mut aggs: Vec<(Agg, String)> = Vec::new();
         for (var, usage) in &self.nongrouping {
             match usage {
@@ -915,6 +1027,48 @@ impl OrderByClauseIter {
         }
         Ok(())
     }
+
+    /// The tuple stream plus every sort key encoded into native columns —
+    /// rank, string, double, and a class column for the §4.8
+    /// type-discovery pass — with the in-scope variables.
+    fn keyed_frame(&self, ctx: &DynamicContext) -> Result<Option<(DataFrame, Vec<Arc<str>>)>> {
+        let fields = key_fields("__o", self.specs.len(), &ORDER_CELLS);
+        if let Some((scan, paths)) =
+            scan_key_paths(&self.parent, ctx, &self.specs, |sp, var| sp.expr.key_path(var))
+        {
+            // The return clause reads `$v` whole: it travels on as `Bin`.
+            let vars = vec![Arc::clone(&scan.var)];
+            let specs: Vec<(Vec<Arc<str>>, bool)> =
+                paths.into_iter().zip(self.specs.iter().map(|sp| sp.empty_greatest)).collect();
+            let df = scan_frame(scan, ctx, true, fields, move |item, row| {
+                specs.iter().try_for_each(|(p, empty_greatest)| {
+                    push_order_cells(path_value(item, p), *empty_greatest, row)
+                })
+            })?;
+            return Ok(Some((df, vars)));
+        }
+        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+        let base = ctx.enter_executor();
+        let specs: Vec<(ExprRef, bool)> =
+            self.specs.iter().map(|sp| (Arc::clone(&sp.expr), sp.empty_greatest)).collect();
+        let uses = union_uses(self.specs.iter().map(|sp| sp.uses.as_slice()));
+        let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+        let udf =
+            DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
+                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut cells = Vec::with_capacity(specs.len() * ORDER_CELLS.len());
+                for (expr, empty_greatest) in &specs {
+                    let pushed = expr
+                        .materialize(&child)
+                        .and_then(|items| push_order_cells(&items, *empty_greatest, &mut cells));
+                    if let Err(e) = pushed {
+                        task_bail(e)
+                    }
+                }
+                Value::List(Arc::new(cells))
+            });
+        Ok(Some((with_key_cells(f.df, "__ord", udf, fields)?, f.vars)))
+    }
 }
 
 impl ClauseIterator for OrderByClauseIter {
@@ -962,77 +1116,7 @@ impl ClauseIterator for OrderByClauseIter {
     }
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let mut df = f.df;
-
-        // Encode every sort key into native columns — tag, string, double,
-        // plus a class column for the §4.8 type-discovery pass. All keys
-        // are computed by ONE UDF (one row decode), then extracted.
-        let all_ord_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(ExprRef, bool)> =
-                self.specs.iter().map(|sp| (Arc::clone(&sp.expr), sp.empty_greatest)).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for sp in &self.specs {
-                for u in &sp.uses {
-                    if !uses.iter().any(|x| x == u) {
-                        uses.push(Arc::clone(u));
-                    }
-                }
-            }
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
-                let mut cells = Vec::with_capacity(specs.len() * 4);
-                for (expr, empty_greatest) in &specs {
-                    let items = match expr.materialize(&child) {
-                        Ok(v) => v,
-                        Err(e) => task_bail(e),
-                    };
-                    let key = match OrderKey::of(&items) {
-                        Ok(k) => k,
-                        Err(e) => task_bail(e),
-                    };
-                    let (sv, d) = match &key {
-                        OrderKey::Str(sv) => (Arc::clone(sv), 0.0),
-                        OrderKey::Num(n) => (Arc::from(""), *n),
-                        _ => (Arc::from(""), 0.0),
-                    };
-                    cells.push(Value::I64(key.rank(*empty_greatest) as i64));
-                    cells.push(Value::Str(sv));
-                    cells.push(Value::F64(d));
-                    cells.push(Value::I64(key.class().map(|c| c as i64).unwrap_or(0)));
-                }
-                Value::List(Arc::new(cells))
-            })
-        };
-        df = df.with_column("__ord", all_ord_udf, DataType::List)?;
-        for i in 0..self.specs.len() {
-            for (j, (suffix, dtype)) in [
-                ("t", DataType::I64),
-                ("s", DataType::Str),
-                ("d", DataType::F64),
-                ("c", DataType::I64),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let cell = i * 4 + j;
-                let extract = DfExpr::udf(
-                    format!("__o{i}{suffix}"),
-                    Some(vec!["__ord".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__ord").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded order key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__o{i}{suffix}"), extract, dtype)?;
-            }
-        }
-        df = df.drop_columns(&["__ord"])?;
+        let Some((df, vars)) = self.keyed_frame(ctx)? else { return Ok(None) };
 
         // Materialize once: the discovery pass and the sort's sampling +
         // partitioning passes would otherwise each recompute the whole
@@ -1088,11 +1172,9 @@ impl ClauseIterator for OrderByClauseIter {
             sort_keys.push((format!("__o{i}d"), dir));
         }
         let df = df.order_by(sort_keys)?;
-        let drop: Vec<String> = (0..self.specs.len())
-            .flat_map(|i| ["t", "s", "d", "c"].into_iter().map(move |s| format!("__o{i}{s}")))
-            .collect();
-        let drop_refs: Vec<&str> = drop.iter().map(|s| s.as_str()).collect();
+        let drop = key_fields("__o", self.specs.len(), &ORDER_CELLS);
+        let drop_refs: Vec<&str> = drop.iter().map(|f| f.name.as_str()).collect();
         let df = df.drop_columns(&drop_refs)?;
-        Ok(Some(TupleFrame { df, vars: f.vars }))
+        Ok(Some(TupleFrame { df, vars }))
     }
 }

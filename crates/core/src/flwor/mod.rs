@@ -65,6 +65,7 @@ pub type TupleCursor = Box<dyn Iterator<Item = Result<Tuple>> + Send>;
 
 /// The DataFrame form of a tuple stream: one `Bin` column per variable,
 /// holding the codec-serialized sequence bound to it.
+#[derive(Clone)]
 pub struct TupleFrame {
     pub df: DataFrame,
     /// The in-scope variables, in column order.
@@ -109,6 +110,42 @@ pub struct FusedScan {
     pub predicates: Vec<ExprRef>,
 }
 
+impl FusedScan {
+    /// Whether the scan runs distributed in `ctx`: on the driver, over a
+    /// source with an RDD form.
+    pub fn is_rdd(&self, ctx: &DynamicContext) -> bool {
+        !ctx.in_executor() && self.source.is_rdd(ctx)
+    }
+
+    /// The source items that pass every `where`, as one RDD (only valid
+    /// when [`FusedScan::is_rdd`] holds).
+    pub fn filtered_rdd(self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
+        let mut rdd = self.source.rdd(ctx)?;
+        let base = ctx.enter_executor();
+        for pred in self.predicates {
+            // Comparisons over navigation paths on the scan variable compile
+            // to a direct item predicate: no per-item context bind at all.
+            if let Some(p) = pred.item_predicate(&self.var) {
+                rdd = rdd.filter(move |item| match p(item) {
+                    Ok(b) => b,
+                    Err(e) => task_bail(e),
+                });
+                continue;
+            }
+            let base = base.clone();
+            let var = Arc::clone(&self.var);
+            rdd = rdd.filter(move |item| {
+                let child = base.bind(Arc::clone(&var), Arc::new(vec![item.clone()]));
+                match pred.ebv(&child) {
+                    Ok(b) => b,
+                    Err(e) => task_bail(e),
+                }
+            });
+        }
+        Ok(rdd)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Row ↔ context bridging used by every DataFrame-mode UDF
 // ---------------------------------------------------------------------------
@@ -148,9 +185,11 @@ pub struct FlworIter {
     pub return_expr: ExprRef,
     /// Free FLWOR variables of the return expression.
     pub return_uses: Vec<Arc<str>>,
-    /// Memo of the last `frame()` probe, keyed by context identity.
+    /// Memo of this execution's `frame()` probe, keyed by context identity.
     /// `is_rdd` and `rdd` are both asked per evaluation; without the memo an
-    /// order-by frame would run its cache/type-discovery jobs twice.
+    /// order-by frame would run its cache/type-discovery jobs twice. `rdd`
+    /// takes the frame out, so an order-by's cached scaffolding lives no
+    /// longer than the RDD built on it.
     frame_memo: parking_lot::Mutex<Option<(usize, Option<TupleFrame>)>>,
 }
 
@@ -159,20 +198,17 @@ impl FlworIter {
         FlworIter { last, return_expr, return_uses, frame_memo: parking_lot::Mutex::new(None) }
     }
 
-    fn frame_for(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+    /// This execution's frame: memoized for later probes, or taken out of
+    /// the memo when `consume` is set.
+    fn frame_for(&self, ctx: &DynamicContext, consume: bool) -> Result<Option<TupleFrame>> {
         let mut memo = self.frame_memo.lock();
-        if let Some((id, cached)) = memo.as_ref() {
-            if *id == ctx.id() {
-                return Ok(cached
-                    .as_ref()
-                    .map(|f| TupleFrame { df: f.df.clone(), vars: f.vars.clone() }));
-            }
+        let frame = match memo.take() {
+            Some((id, cached)) if id == ctx.id() => cached,
+            _ => self.last.frame(ctx)?,
+        };
+        if !consume {
+            *memo = Some((ctx.id(), frame.clone()));
         }
-        let frame = self.last.frame(ctx)?;
-        *memo = Some((
-            ctx.id(),
-            frame.as_ref().map(|f| TupleFrame { df: f.df.clone(), vars: f.vars.clone() }),
-        ));
         Ok(frame)
     }
 
@@ -180,29 +216,9 @@ impl FlworIter {
     /// each `where` becomes a filter and the return expression a flatMap,
     /// all directly over items.
     fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        let mut rdd = scan.source.rdd(ctx)?;
-        let base = ctx.enter_executor();
-        for pred in scan.predicates {
-            // Comparisons over navigation paths on the scan variable compile
-            // to a direct item predicate: no per-item context bind at all.
-            if let Some(p) = pred.item_predicate(&scan.var) {
-                rdd = rdd.filter(move |item| match p(item) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
-                });
-                continue;
-            }
-            let base = base.clone();
-            let var = Arc::clone(&scan.var);
-            rdd = rdd.filter(move |item| {
-                let child = base.bind(Arc::clone(&var), Arc::new(vec![item.clone()]));
-                match pred.ebv(&child) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
-                }
-            });
-        }
-        if let Some(keys) = self.return_expr.key_path(&scan.var) {
+        let var = Arc::clone(&scan.var);
+        let rdd = scan.filtered_rdd(ctx)?;
+        if let Some(keys) = self.return_expr.key_path(&var) {
             // `return $v` (or a static path on it) needs no context either.
             if keys.is_empty() {
                 return Ok(rdd);
@@ -211,7 +227,7 @@ impl FlworIter {
                 rdd.flat_map(move |item| crate::runtime::follow_key_path(&item, &keys).cloned())
             );
         }
-        let var = scan.var;
+        let base = ctx.enter_executor();
         let ret = Arc::clone(&self.return_expr);
         Ok(rdd.flat_map(move |item| {
             let child = base.bind(Arc::clone(&var), Arc::new(vec![item]));
@@ -241,16 +257,14 @@ impl ExprIterator for FlworIter {
         if let Some(scan) = self.last.fused_scan() {
             return scan.source.is_rdd(ctx);
         }
-        matches!(self.frame_for(ctx), Ok(Some(_)))
+        matches!(self.frame_for(ctx, false), Ok(Some(_)))
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return self.fused_rdd(scan, ctx);
-            }
+        if let Some(scan) = self.last.fused_scan().filter(|s| s.is_rdd(ctx)) {
+            return self.fused_rdd(scan, ctx);
         }
-        let frame = self.frame_for(ctx)?.ok_or_else(|| {
+        let frame = self.frame_for(ctx, true)?.ok_or_else(|| {
             crate::error::RumbleError::dynamic(
                 crate::error::codes::CLUSTER,
                 "FLWOR tuple stream has no DataFrame form",
@@ -274,12 +288,10 @@ impl ExprIterator for FlworIter {
     }
 
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {
-        if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return Some("rdd (fused)");
-            }
+        if self.last.fused_scan().is_some_and(|s| s.is_rdd(ctx)) {
+            return Some("rdd (fused)");
         }
-        if let Ok(Some(frame)) = self.frame_for(ctx) {
+        if let Ok(Some(frame)) = self.frame_for(ctx, false) {
             // §4.7/§4.9: DataFrame execution is columnar; report whether the
             // physical compiler will fuse adjacent batch operators so the
             // observed-mode surface stays truthful.

@@ -109,3 +109,33 @@ fn avg_over_a_distributed_source_is_exact_and_frees_its_cache() {
     assert!(m.cache_misses > 0, "avg persisted its input");
     assert_eq!(m.cached_bytes, 0, "avg unpersisted after use");
 }
+
+#[test]
+fn a_kept_prepared_order_by_frees_its_sort_cache_after_each_run() {
+    // An order-by frame caches its keyed rows for the type-discovery pass
+    // and the sort. That scaffolding belongs to one execution: a prepared
+    // query kept for reuse must not pin it in the cache budget it shares
+    // with persisted sources.
+    let r = engine(FaultPlan::default());
+    r.set_auto_persist(None); // only the order-by's own cache is in play
+    r.hdfs_put("/reuse.json", &dataset(2000)).unwrap();
+    let before = r.sparklite().cache().cached_partitions();
+    let q = r.compile(QUERY).unwrap();
+    for _ in 0..2 {
+        assert_eq!(q.take(5).unwrap().len(), 5);
+        // Executor threads drop their task closures (which hold the last
+        // cached handle) just after reporting results, so poll.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while r.sparklite().cache().cached_partitions() != before
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(
+            r.sparklite().cache().cached_partitions(),
+            before,
+            "the order-by's cached rows outlived the run while the query is alive"
+        );
+    }
+    drop(q);
+}
