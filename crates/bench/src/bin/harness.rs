@@ -152,39 +152,6 @@ fn check_columnar_figure(r: &FigureReport) {
     }
 }
 
-/// The agg A/B must show the vectorized kernels beating the PR 8 columnar
-/// per-batch fold — the smoke assertion CI runs (`ci.sh` invokes `harness
-/// agg`): at least 1.5x on the high-cardinality group-by (the shape where
-/// per-row key materialization and state merging dominate), and no more
-/// than a 10% loss anywhere else (low-cardinality shapes are
-/// shuffle-dominated and may tie). Dies otherwise.
-fn check_agg_figure(r: &FigureReport) {
-    for (label, cells) in &r.rows {
-        let (columnar, vectorized) = match (&cells[1], &cells[2]) {
-            (Cell::Time(c), Cell::Time(v)) => (c.as_secs_f64(), v.as_secs_f64()),
-            _ => die(&format!("agg figure row '{label}' failed to measure")),
-        };
-        if label.contains("high cardinality") {
-            if vectorized * 1.5 > columnar {
-                die(&format!(
-                    "agg figure: vectorized group-by below 1.5x over the columnar fold for \
-                     '{label}' ({:.1}ms vs {:.1}ms, {:.2}x)",
-                    columnar * 1e3,
-                    vectorized * 1e3,
-                    columnar / vectorized
-                ));
-            }
-        } else if vectorized > columnar * 1.10 {
-            die(&format!(
-                "agg figure: vectorized execution lost to the columnar fold for '{label}' \
-                 ({:.1}ms vs {:.1}ms)",
-                columnar * 1e3,
-                vectorized * 1e3
-            ));
-        }
-    }
-}
-
 /// The obs A/B must show the cross-process event stream costing at most 3%
 /// wall clock — the smoke assertion CI runs (`ci.sh` invokes `harness
 /// obs`). An A/B cannot resolve a difference smaller than the difference
@@ -374,7 +341,6 @@ fn main() {
         ran = true;
         let n = 50_000 * s;
         let r = figures::agg(n, cores, t, Some(Vec::new()));
-        check_agg_figure(&r);
         emit("agg", &[("objects", n as u64), ("executors", cores as u64), ("tries", t as u64)], &r);
     }
     if !ran {

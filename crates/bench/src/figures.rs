@@ -1133,16 +1133,16 @@ pub fn columnar(objects: usize, executors: usize, tries: usize) -> FigureReport 
 }
 
 /// **§6.3 prose** — the hand-tuned low-level program vs the engines.
-/// **Agg** — vectorized aggregation & sort A/B (no paper analogue;
-/// exercises the §4.7 group/sort key machinery): the same typed group-by
-/// pipeline over four key distributions — every key distinct, 16 keys, one
-/// dominant key, half the keys NULL — plus a multi-key sort, each run on
-/// three physical paths: the row-major interpreter, the PR 8 columnar
-/// per-batch fold, and the vectorized hash kernel with normalized-key
-/// sort. Every cell must return byte-identical rows; the same pipelines
-/// are then re-run under seeded 20% fault injection, and the Fig. 11
-/// group/sort queries through two executor workers, both of which must
-/// reproduce the fault-free single-process answer exactly.
+/// **Agg** — vectorized aggregation & sort vs the row-major oracle (no
+/// paper analogue; exercises the §4.7 group/sort key machinery): the same
+/// typed group-by pipeline over five key distributions — ~8 rows per key,
+/// every key distinct, 16 keys, one dominant key, half the keys NULL — plus
+/// a multi-key sort, each run on two physical paths: the row-major oracle
+/// and the default (the hash kernel with normalized-key sort). Every cell
+/// must return byte-identical rows; the same pipelines are then re-run
+/// under seeded 20% fault injection, and the Fig. 11 group/sort queries
+/// through two executor workers, both of which must reproduce the
+/// fault-free single-process answer exactly.
 pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> FigureReport {
     use sparklite::dataframe::{
         Agg, DataFrame, DataType, Field, Row, RowCodec, Schema, SortDir, Value,
@@ -1163,7 +1163,7 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
                     "high cardinality" => Value::I64(i % (rows_n / 8).max(1)),
                     // The degenerate extreme: every key distinct, map-side
                     // aggregation merges nothing and the whole input crosses
-                    // the shuffle. The vectorized path must not lose here.
+                    // the shuffle.
                     "unique keys" => Value::I64(i),
                     "low cardinality" => Value::I64(i % 16),
                     "skewed" => Value::I64(if i % 10 == 0 { i % 1_000 } else { 0 }),
@@ -1231,14 +1231,11 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
         .collect();
 
     // The optimizer stays off for the same reason as the columnar figure:
-    // all three configurations must execute the identical logical plan.
+    // both configurations must execute the identical logical plan.
     let base = || SparkliteConf::default().with_executors(executors).with_optimizer(false);
     type Tweak = fn(SparkliteConf) -> SparkliteConf;
-    let configs: [(&str, Tweak); 3] = [
-        ("row-major", |c| c.with_row_major(true)),
-        ("columnar", |c| c.with_vectorized(false)),
-        ("vectorized", |c| c.with_adaptive(false)),
-    ];
+    let configs: [(&str, Tweak); 2] =
+        [("row-major", |c| c.with_row_major(true)), ("default", |c| c)];
 
     let mut per_config: Vec<Vec<(Cell, Vec<u8>)>> = Vec::new();
     let mut metrics: Vec<(String, u64)> = Vec::new();
@@ -1262,10 +1259,9 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
         let m = sc.metrics();
         match label {
             "row-major" => assert_eq!(m.columnar_batches, 0, "row-major produced batches"),
-            "columnar" => assert_eq!(m.agg_rows_in, 0, "PR 8 fold fired the vectorized kernel"),
             _ => {
-                assert!(m.agg_rows_in > 0, "vectorized path never ran the hash kernel");
-                assert!(m.agg_groups_out > 0, "vectorized kernel emitted no groups");
+                assert!(m.agg_rows_in > 0, "default path never ran the hash kernel");
+                assert!(m.agg_groups_out > 0, "hash kernel emitted no groups");
             }
         }
         notes.push_str(&format!(
@@ -1282,18 +1278,12 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
         per_config.push(cells);
     }
 
-    // Identity across the three physical paths, per pipeline.
+    // Identity across the two physical paths, per pipeline.
     for (i, (name, _)) in pipelines.iter().enumerate() {
-        for cfg in 1..configs.len() {
-            assert_eq!(
-                per_config[cfg][i].1, per_config[0][i].1,
-                "{} changed the rows of '{name}'",
-                configs[cfg].0
-            );
-        }
+        assert_eq!(per_config[1][i].1, per_config[0][i].1, "default changed the rows of '{name}'");
     }
 
-    // Fault tolerance: the vectorized path under seeded 20% chaos must
+    // Fault tolerance: the default path under seeded 20% chaos must
     // still reproduce every pipeline byte-for-byte.
     let chaos = SparkliteContext::new(
         SparkliteConf::default()
@@ -1306,7 +1296,7 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
         assert_eq!(
             RowCodec.encode(&rows),
             per_config[0][i].1,
-            "20% chaos changed the rows of '{name}' on the vectorized path"
+            "20% chaos changed the rows of '{name}' on the default path"
         );
     }
     let cm = chaos.metrics();
@@ -1350,11 +1340,10 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
         .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
         .collect();
     let report = format!(
-        "{}\n{notes}all paths returned byte-identical rows; the high-cardinality delta is \
-         what typed accumulators over encoded keys save over per-row state merges.\n",
+        "{}\n{notes}both paths returned byte-identical rows.\n",
         render_table(
             &format!("Agg — group/sort physical paths, {rows_n} rows, {executors} cores"),
-            &["row-major", "columnar", "vectorized"],
+            &["row-major", "default"],
             &rendered
         )
     );

@@ -179,34 +179,24 @@ impl Default for OptimizerConf {
     }
 }
 
-/// Physical DataFrame execution configuration: columnar batch size and the
-/// row-major escape hatch the differential test battery compares against.
+/// Physical DataFrame execution configuration. Every operator has one
+/// physical path — columnar batch kernels — plus the row-major reference
+/// interpreter, kept only as the oracle the differential tests compare
+/// against.
 #[derive(Debug, Clone)]
 pub struct ExecConf {
-    /// When true, DataFrame plans compile to the legacy row-at-a-time
-    /// interpreter instead of columnar batch kernels. Kept exactly for the
-    /// row-vs-columnar differential tests and A/B benchmarks — results must
-    /// be byte-identical either way.
+    /// When true, DataFrame plans compile to the row-at-a-time reference
+    /// interpreter instead of columnar batch kernels. Results must be
+    /// byte-identical either way.
     pub row_major: bool,
     /// Rows per [`ColumnBatch`](crate::dataframe::batch::ColumnBatch) in the
-    /// vectorized pipeline (clamped to at least 1).
+    /// columnar pipeline (a value of 0 is treated as 1).
     pub batch_size: usize,
-    /// When true (the default), GROUP BY runs the columnar hash-aggregation
-    /// kernel (pre-aggregating per partition before the shuffle) and ORDER
-    /// BY sorts on the §4.7 normalized byte keys. When false, the PR 8
-    /// batched-but-per-row map sides run instead — the mid-point of the
-    /// three-way aggregation differential. Ignored under `row_major`.
-    pub vectorized: bool,
-    /// When true (the default), short single-operator pipeline segments
-    /// fall back to the row interpreter once observed batch statistics show
-    /// average batch occupancy too low to amortize row↔column
-    /// transposition. Forced modes for differentials turn this off.
-    pub adaptive: bool,
 }
 
 impl Default for ExecConf {
     fn default() -> Self {
-        ExecConf { row_major: false, batch_size: 1024, vectorized: true, adaptive: true }
+        ExecConf { row_major: false, batch_size: 1024 }
     }
 }
 
@@ -292,7 +282,8 @@ pub struct SparkliteConf {
     /// Distribution layer: off (pure threads), thread workers over TCP, or
     /// real executor processes; see [`DistConf`].
     pub dist: DistConf,
-    /// Physical DataFrame execution knobs; see [`ExecConf`].
+    /// Physical DataFrame execution: batch size and the row-major oracle;
+    /// see [`ExecConf`].
     pub exec: ExecConf,
 }
 
@@ -386,8 +377,9 @@ impl SparkliteConf {
         self
     }
 
-    /// Selects the legacy row-at-a-time DataFrame interpreter instead of
-    /// columnar batch execution (the differential-test escape hatch).
+    /// Selects the row-at-a-time reference interpreter instead of columnar
+    /// batch execution. It is the only alternative physical path, kept as
+    /// the oracle the differential tests byte-compare the columnar path to.
     pub fn with_row_major(mut self, on: bool) -> Self {
         self.exec.row_major = on;
         self
@@ -396,20 +388,6 @@ impl SparkliteConf {
     /// Sets the columnar batch size in rows (clamped to at least 1).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
         self.exec.batch_size = rows.max(1);
-        self
-    }
-
-    /// Enables (or disables) the vectorized GROUP BY kernel and
-    /// normalized-key ORDER BY; see [`ExecConf::vectorized`].
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.exec.vectorized = on;
-        self
-    }
-
-    /// Enables (or disables) the adaptive row-vs-batch fallback for short
-    /// pipeline segments; see [`ExecConf::adaptive`].
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.exec.adaptive = on;
         self
     }
 
@@ -466,9 +444,6 @@ mod tests {
         assert_eq!(c.exec.batch_size, 1);
         assert!(!c.exec.row_major);
         assert!(SparkliteConf::default().with_row_major(true).exec.row_major);
-        assert!(c.exec.vectorized && c.exec.adaptive);
-        assert!(!SparkliteConf::default().with_vectorized(false).exec.vectorized);
-        assert!(!SparkliteConf::default().with_adaptive(false).exec.adaptive);
     }
 
     #[test]

@@ -762,14 +762,6 @@ pub fn explode(batch: &ColumnBatch, col: usize) -> ColumnBatch {
     out
 }
 
-/// Materializes §4.7 grouping keys for every row of the batch: one
-/// [`KeyValue`] vector per row, hashable/equatable by exact representation.
-pub fn group_keys(batch: &ColumnBatch, key_cols: &[usize]) -> Vec<Vec<KeyValue>> {
-    (0..batch.len)
-        .map(|i| key_cols.iter().map(|&c| KeyValue(batch.columns[c].get(i))).collect())
-        .collect()
-}
-
 /// Materializes sort keys for every row of the batch: one [`SortKey`]
 /// vector per row, ordered so a plain ascending sort realizes the requested
 /// multi-key order. The reference the normalized-key encoding
@@ -1860,10 +1852,6 @@ mod tests {
         let rows: Vec<Row> =
             vec![vec![Value::I64(2), Value::str("b")], vec![Value::Null, Value::str("a")]];
         let batch = ColumnBatch::from_rows(2, rows);
-        let gk = group_keys(&batch, &[0, 1]);
-        assert_eq!(gk.len(), 2);
-        assert_eq!(gk[0][0], KeyValue(Value::I64(2)));
-        assert_eq!(gk[1][0], KeyValue(Value::Null));
         let sk = sort_keys(&batch, &[(0, SortDir::asc())]);
         // NULL sorts first under ascending nulls-first.
         assert!(sk[1][0] < sk[0][0]);

@@ -135,7 +135,7 @@ impl AggState {
 
     /// [`merge`](Self::merge) against a borrowed right-hand state, cloning
     /// only what the merged result actually keeps (the winning MIN/MAX
-    /// value, list elements) — the reduce side of the vectorized path
+    /// value, list elements) — the reduce side of the columnar GROUP BY
     /// merges straight out of the shared shuffle bucket, so per-pair
     /// clones of the losing side would be pure waste. Must stay
     /// result-identical to `a.merge(b.clone())`, including `Avg`'s
@@ -750,13 +750,14 @@ pub fn optimize(plan: Arc<LogicalPlan>) -> Arc<LogicalPlan> {
 
 /// Compiles a (normally optimized) plan to an RDD of rows.
 ///
-/// The default physical layer is columnar: pipeline segments of
-/// Project/Filter/Explode/Limit execute as vectorized kernels over
-/// [`ColumnBatch`]es, fused into a single pass per segment, with rows
-/// materialized only at shuffle and RDD boundaries ([`RowCodec`] stays the
-/// only wire/persist format). [`crate::conf::ExecConf::row_major`] selects
-/// the historical row-at-a-time interpreter instead — kept as the reference
-/// implementation the columnar differential test battery compares against.
+/// Every operator has one physical path, the columnar one: pipeline
+/// segments of Project/Filter/Explode/Limit execute as vectorized kernels
+/// over [`ColumnBatch`]es, fused into a single pass per segment; GROUP BY
+/// pre-aggregates each partition in the hash kernel; ORDER BY sorts on
+/// §4.7 normalized keys. Rows materialize only at shuffle and RDD
+/// boundaries ([`RowCodec`] stays the only wire/persist format).
+/// [`crate::conf::ExecConf::row_major`] selects the row-at-a-time reference
+/// interpreter instead — the oracle the differential tests compare against.
 pub fn compile(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
     if core.conf.exec.row_major {
         compile_row_major(core, plan)
@@ -818,10 +819,17 @@ fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Ro
         }
         LogicalPlan::OrderBy { input, keys } => {
             let rdd = compile_row_major(core, input)?;
-            // The row-major reference path always sorts on materialized
-            // `SortKey`s — the baseline the normalized-key encoding's
-            // differential battery compares against.
-            compile_order_by(rdd, input.schema(), keys, num_parts, false)
+            // The oracle sorts on materialized `SortKey`s, the baseline the
+            // normalized-key encoding is differentially tested against.
+            let spec = sort_spec(input.schema(), keys)?;
+            Ok(rdd.sort_by_with_codec(
+                move |row| {
+                    spec.iter().map(|(i, d)| SortKey::new(row[*i].clone(), *d)).collect::<Vec<_>>()
+                },
+                true,
+                num_parts,
+                Arc::new(RowCodec),
+            ))
         }
         LogicalPlan::ZipWithIndex { input, start, .. } => {
             let rdd = compile_row_major(core, input)?;
@@ -846,11 +854,12 @@ fn agg_specs(schema: &Arc<Schema>, aggs: &[(Agg, String)]) -> Result<Vec<(Agg, O
         .collect()
 }
 
-/// The shuffle + finish half of GROUP BY, shared by all physical paths
-/// (the map sides differ; the wire format and merge logic must not).
+/// The shuffle + finish half of GROUP BY, shared by the columnar path and
+/// the row-major oracle (the map sides differ; the wire format and merge
+/// logic must not).
 ///
 /// `map_side_combined` declares the map side already aggregated per
-/// partition (the vectorized kernel). The shuffle then skips both of its
+/// partition (the hash kernel). The shuffle then skips both of its
 /// combine passes — the map-side one (which would only re-hash every
 /// already-unique key, the dominant cost at high key cardinality) *and*
 /// the generic clone-heavy reduce-side merge, replaced by the
@@ -886,37 +895,26 @@ fn finish_group_by(
     })
 }
 
-/// Range-partitioned ORDER BY. `vectorized` selects the sort key
-/// representation: the §4.7 normalized byte encoding
+/// Resolves ORDER BY keys to column indexes, at compile time.
+fn sort_spec(schema: &Arc<Schema>, keys: &[(String, SortDir)]) -> Result<Vec<(usize, SortDir)>> {
+    keys.iter().map(|(k, d)| Ok((schema.resolve(k)?, *d))).collect()
+}
+
+/// Range-partitioned ORDER BY on the §4.7 normalized byte encoding
 /// ([`batch::encode_row_sort_key`] — one flat memcmp-comparable buffer per
 /// row, descending via complement, shared with the [`batch::sort_key_bytes`]
-/// kernel), or the materialized per-row `Vec<SortKey>` reference. Both are
-/// proven order- and tie-equivalent, so the range partitioner's sampling,
-/// cut selection, and the stable local sort behave identically.
+/// kernel). It is order- and tie-equivalent to the row-major oracle's
+/// `Vec<SortKey>`, so the range partitioner's sampling, cut selection, and
+/// the stable local sort behave identically.
 fn compile_order_by(
     rdd: Rdd<Row>,
     schema: &Arc<Schema>,
     keys: &[(String, SortDir)],
     num_parts: usize,
-    vectorized: bool,
 ) -> Result<Rdd<Row>> {
-    let sort_spec: Vec<(usize, SortDir)> =
-        keys.iter().map(|(k, d)| Ok((schema.resolve(k)?, *d))).collect::<Result<_>>()?;
-    if vectorized {
-        return Ok(rdd.sort_by_with_codec(
-            move |row| batch::encode_row_sort_key(row, &sort_spec),
-            true,
-            num_parts,
-            Arc::new(RowCodec),
-        ));
-    }
+    let spec = sort_spec(schema, keys)?;
     Ok(rdd.sort_by_with_codec(
-        move |row| {
-            sort_spec
-                .iter()
-                .map(|(i, d)| SortKey::new(row[*i].clone(), *d))
-                .collect::<Vec<SortKey>>()
-        },
+        move |row| batch::encode_row_sort_key(row, &spec),
         true,
         num_parts,
         Arc::new(RowCodec),
@@ -986,7 +984,7 @@ fn peel_ops(plan: &Arc<LogicalPlan>) -> Result<(Vec<FusedOp>, Option<usize>, &Ar
 
 /// A compiled fused pipeline segment: the operator chain plus the width of
 /// the rows entering it. Shared between [`segment_rows`] (row-out
-/// execution) and the vectorized GROUP BY map side, which keeps the
+/// execution) and the GROUP BY map side, which keeps the
 /// segment's output columnar and feeds it — selection vector and all —
 /// straight into the aggregation kernel.
 struct SegmentPlan {
@@ -1047,6 +1045,16 @@ impl SegmentPlan {
     }
 }
 
+/// Pulls the next batch of at most `batch_size` rows from a partition's
+/// input; an empty batch means the input is exhausted. A `batch_size` of 0
+/// reads as 1, so a zero setting cannot pass for an empty input.
+fn fill_batch(input: &mut BoxIter<Row>, batch_size: usize) -> Vec<Row> {
+    let n = batch_size.max(1);
+    let mut buf = Vec::with_capacity(n);
+    buf.extend(input.by_ref().take(n));
+    buf
+}
+
 /// Executes a fused segment over a row source, emitting rows: batches of
 /// `ExecConf::batch_size` rows stream lazily through
 /// [`SegmentPlan::apply`], and each partition reports its batch work once
@@ -1072,15 +1080,8 @@ fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: Arc<SegmentPlan>) -> Rd
             if done {
                 return None;
             }
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            if remaining != Some(0) {
-                while buf.len() < batch_size {
-                    match input.next() {
-                        Some(r) => buf.push(r),
-                        None => break,
-                    }
-                }
-            }
+            let buf =
+                if remaining == Some(0) { Vec::new() } else { fill_batch(&mut input, batch_size) };
             if buf.is_empty() {
                 // Input exhausted (or limit satisfied): report the
                 // partition's batch work exactly once.
@@ -1110,19 +1111,13 @@ fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: Arc<SegmentPlan>) -> Rd
 /// Columnar compiler: peels the maximal fusable suffix of the plan
 /// (Project/Filter/Explode chains, plus a segment-leading Limit), compiles
 /// whatever is below it as a boundary, and executes the suffix as one fused
-/// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows. With
-/// `ExecConf::adaptive` on, a single-operator segment falls back to the row
-/// interpreter once observed batch statistics say transposition costs more
-/// than the kernel saves.
+/// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows. The plan
+/// alone decides the physical shape: no runtime statistics are consulted.
 fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
     let (ops, global_limit, node) = peel_ops(plan)?;
     let source = compile_boundary(core, node)?;
     if ops.is_empty() {
         return Ok(source);
-    }
-    if global_limit.is_none() && ops.len() == 1 && adaptive_prefers_rows(core) {
-        let op = ops.into_iter().next().expect("one fused op");
-        return Ok(apply_op_row(source, op));
     }
     let seg = Arc::new(SegmentPlan { ops, width: node.schema().len() });
     let fused = segment_rows(core, source, seg);
@@ -1135,55 +1130,6 @@ fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
     }
 }
 
-/// Whether the adaptive heuristic currently prefers the row interpreter for
-/// *short* (single-operator) pipeline segments: once enough batches have
-/// flowed through this context to trust the statistics (`>= 16`), a mean
-/// batch occupancy under 8 rows means the row↔column transposition
-/// dominates whatever the kernel saves. Multi-operator fusion and the
-/// pre-aggregating GROUP BY kernel always stay columnar — their win does
-/// not hinge on occupancy the same way. Derived from the [`Event`] stream's
-/// `columnar_batches` / `columnar_rows` counters, so the heuristic works
-/// with or without an event collector attached.
-fn adaptive_prefers_rows(core: &Arc<Core>) -> bool {
-    use std::sync::atomic::Ordering;
-    if !core.conf.exec.adaptive {
-        return false;
-    }
-    let batches = core.metrics.columnar_batches.load(Ordering::Relaxed);
-    if batches < 16 {
-        return false;
-    }
-    core.metrics.columnar_rows.load(Ordering::Relaxed) / batches < 8
-}
-
-/// Executes one fused operator with the row interpreter — the adaptive
-/// fallback target for segments too short to amortize transposition.
-fn apply_op_row(rdd: Rdd<Row>, op: FusedOp) -> Rdd<Row> {
-    match op {
-        FusedOp::Project(bound) => {
-            rdd.map(move |row| bound.iter().map(|b| b.eval(&row)).collect::<Row>())
-        }
-        FusedOp::Filter(p) => rdd.filter(move |row| p.eval_predicate(row)),
-        FusedOp::Explode { idx } => rdd.flat_map(move |row| {
-            let items: Vec<Row> = match &row[idx] {
-                Value::List(l) => l
-                    .iter()
-                    .map(|v| {
-                        let mut r = row.clone();
-                        r[idx] = v.clone();
-                        r
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            items
-        }),
-        // LocalLimit is only ever peeled together with a global limit,
-        // which routes around the adaptive fallback.
-        FusedOp::LocalLimit(_) => unreachable!("a lone LocalLimit implies a global limit"),
-    }
-}
-
 /// Compiles a node that terminates a fused segment: sources, shuffles, and
 /// operators whose row machinery is inherently row-ordered. Inputs recurse
 /// through [`compile_columnar`], so every pipeline segment of the plan
@@ -1193,20 +1139,12 @@ fn compile_boundary(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
     match plan.as_ref() {
         LogicalPlan::FromRdd { rows, .. } => Ok(rows.clone()),
         LogicalPlan::GroupBy { input, keys, aggs, .. } => {
-            let vectorized = core.conf.exec.vectorized;
-            let paired = if vectorized {
-                compile_group_by_vectorized(core, input, keys, aggs)?
-            } else {
-                compile_group_by_batched(core, input, keys, aggs)?
-            };
-            // Only the vectorized kernel pre-aggregates its partition; the
-            // batched path emits one pair per row and *needs* the shuffle's
-            // map-side combine.
-            Ok(finish_group_by(paired, keys.len(), num_parts, vectorized))
+            let paired = compile_group_by(core, input, keys, aggs)?;
+            Ok(finish_group_by(paired, keys.len(), num_parts, true))
         }
         LogicalPlan::OrderBy { input, keys } => {
             let rdd = compile_columnar(core, input)?;
-            compile_order_by(rdd, input.schema(), keys, num_parts, core.conf.exec.vectorized)
+            compile_order_by(rdd, input.schema(), keys, num_parts)
         }
         LogicalPlan::ZipWithIndex { input, start, .. } => {
             let rdd = compile_columnar(core, input)?;
@@ -1225,88 +1163,14 @@ fn compile_boundary(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
     }
 }
 
-/// PR 8's batched GROUP BY map side (`ExecConf::vectorized` off): batches
-/// the partition, materializes one `(Vec<KeyValue>, Vec<AggState>)` pair
-/// per *row*, and leaves per-partition aggregation to the shuffle's
-/// map-side combine. Kept as the mid-point of the three-way aggregation
-/// differential (row-major / batched / vectorized).
-fn compile_group_by_batched(
-    core: &Arc<Core>,
-    input: &Arc<LogicalPlan>,
-    keys: &[String],
-    aggs: &[(Agg, String)],
-) -> Result<Rdd<(Vec<KeyValue>, Vec<AggState>)>> {
-    let rdd = compile_columnar(core, input)?;
-    let schema = input.schema();
-    let key_idx: Vec<usize> = keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
-    let specs = Arc::new(agg_specs(schema, aggs)?);
-    let width = schema.len();
-    let batch_size = core.conf.exec.batch_size;
-    let events = Arc::clone(&core.events);
-    // Columnar map side: batch the partition and materialize the keys per
-    // batch; the shuffle pair format and the merge/finish phases are shared
-    // with the row-major path.
-    Ok(rdd.map_partitions(move |_part, mut input: BoxIter<Row>| {
-        let specs = Arc::clone(&specs);
-        let key_idx = key_idx.clone();
-        let events = Arc::clone(&events);
-        let mut out: std::vec::IntoIter<(Vec<KeyValue>, Vec<AggState>)> = Vec::new().into_iter();
-        let mut batches: u64 = 0;
-        let mut rows_in: u64 = 0;
-        let mut done = false;
-        let iter = std::iter::from_fn(move || loop {
-            if let Some(pair) = out.next() {
-                return Some(pair);
-            }
-            if done {
-                return None;
-            }
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            while buf.len() < batch_size {
-                match input.next() {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                done = true;
-                if batches > 0 {
-                    events.emit(Event::ColumnarBatch { fused_ops: 1, batches, rows: rows_in });
-                }
-                return None;
-            }
-            let batch = ColumnBatch::from_rows(width, buf);
-            let keys = batch::group_keys(&batch, &key_idx);
-            batches += 1;
-            rows_in += batch.len() as u64;
-            let pairs: Vec<(Vec<KeyValue>, Vec<AggState>)> = keys
-                .into_iter()
-                .enumerate()
-                .map(|(i, key)| {
-                    let states: Vec<AggState> = specs
-                        .iter()
-                        .map(|(a, idx)| {
-                            let v = idx.map(|c| batch.column(c).get(i));
-                            AggState::create(a, v.as_ref())
-                        })
-                        .collect();
-                    (key, states)
-                })
-                .collect();
-            out = pairs.into_iter();
-        });
-        Box::new(iter) as BoxIter<(Vec<KeyValue>, Vec<AggState>)>
-    }))
-}
-
-/// The vectorized GROUP BY map side: the fused segment below the
-/// aggregation (if any) stays columnar — its output batch plus selection
-/// vector feeds [`batch::GroupByKernel`] directly, one transposition
-/// instead of two — and the kernel pre-aggregates the whole partition, so
-/// one pair per **distinct group** reaches the shuffle, in first-occurrence
-/// order (exactly what the row path's insertion-ordered map-side combine
-/// emits, keeping all physical paths byte-identical).
-fn compile_group_by_vectorized(
+/// The GROUP BY map side: the fused segment below the aggregation (if any)
+/// stays columnar — its output batch plus selection vector feeds
+/// [`batch::GroupByKernel`] directly, one transposition instead of two —
+/// and the kernel pre-aggregates the whole partition, so one pair per
+/// **distinct group** reaches the shuffle, in first-occurrence order
+/// (exactly what the row-major oracle's insertion-ordered map-side combine
+/// emits, keeping the two byte-identical).
+fn compile_group_by(
     core: &Arc<Core>,
     input: &Arc<LogicalPlan>,
     keys: &[String],
@@ -1326,17 +1190,6 @@ fn compile_group_by_vectorized(
         let width = node.schema().len();
         (compile_boundary(core, node)?, Some(Arc::new(SegmentPlan { ops, width })))
     };
-    if seg.is_none() && adaptive_prefers_rows(core) {
-        // Adaptive fallback: tiny batches make even the kernel's single
-        // transposition a loss; pair per row and let the shuffle's map-side
-        // combine aggregate, as the row-major reference does.
-        return Ok(rdd.map(move |row| {
-            let key: Vec<KeyValue> = key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
-            let states: Vec<AggState> =
-                specs.iter().map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i]))).collect();
-            (key, states)
-        }));
-    }
     let width = seg.as_ref().map(|s| s.width).unwrap_or(schema.len());
     let batch_size = core.conf.exec.batch_size;
     let events = Arc::clone(&core.events);
@@ -1347,13 +1200,7 @@ fn compile_group_by_vectorized(
         let mut kernel = batch::GroupByKernel::new(key_idx.clone(), &specs);
         let mut batches: u64 = 0;
         loop {
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            while buf.len() < batch_size {
-                match input.next() {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
-            }
+            let buf = fill_batch(&mut input, batch_size);
             if buf.is_empty() {
                 break;
             }

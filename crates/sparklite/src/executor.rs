@@ -176,9 +176,9 @@ pub struct Metrics {
     pub block_bytes_fetched: AtomicU64,
     /// ColumnBatches processed by vectorized DataFrame pipeline segments.
     pub columnar_batches: AtomicU64,
-    /// Rows emitted by vectorized DataFrame pipeline segments; paired with
-    /// `columnar_batches`, the mean batch occupancy the adaptive
-    /// row-vs-batch heuristic reads.
+    /// Rows emitted by vectorized DataFrame pipeline segments; divided by
+    /// `columnar_batches`, the mean batch occupancy. Observation only: no
+    /// physical decision reads it.
     pub columnar_rows: AtomicU64,
     /// Per-partition executions of fused (multi-operator, single-pass)
     /// columnar pipeline segments.

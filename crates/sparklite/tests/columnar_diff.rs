@@ -1,10 +1,9 @@
 //! The physical-path differential battery: every random pipeline the PR 6
 //! generator can produce must collect to byte-identical rows (under
-//! [`RowCodec`]) on **every** physical path — the legacy row-at-a-time
-//! operators (`ExecConf::row_major`), the PR 8 columnar batch kernels
-//! (`with_vectorized(false)`), the vectorized hash-aggregation /
-//! normalized-key-sort path, and the shipping default with the adaptive
-//! row fallback armed. Batch sizes are fuzzed too, so batch seams land
+//! [`RowCodec`]) on the shipping columnar path — fused batch kernels, the
+//! hash-aggregation kernel and the normalized-key sort — and on the
+//! row-at-a-time oracle (`ExecConf::row_major`). Batch sizes are fuzzed too,
+//! so batch seams land
 //! inside, on, and around partition boundaries; dedicated cases pin the
 //! empty / one-row / N−1 / N / N+1 input sizes, null-heavy mixed-type
 //! columns, and group/sort-heavy shapes (high-cardinality, skewed,
@@ -22,29 +21,25 @@ use sparklite::{CacheCodec, SparkliteConf, SparkliteContext};
 /// The physical execution paths under differential test.
 #[derive(Debug, Clone, Copy)]
 enum Mode {
-    /// Legacy row-at-a-time operators.
+    /// The row-at-a-time reference oracle.
     RowMajor,
-    /// Columnar batch kernels with the per-batch group/sort fold (PR 8),
-    /// vectorized aggregation and adaptivity forced off.
-    Batched,
-    /// Vectorized hash aggregation and normalized-key sort, adaptivity
-    /// forced off so the kernels always run.
+    /// The shipping default: fused batch kernels, hash aggregation and the
+    /// normalized-key sort.
     Vectorized,
-    /// The shipping default: vectorized with the adaptive row fallback.
-    Adaptive,
 }
 
-const MODES: [Mode; 4] = [Mode::RowMajor, Mode::Batched, Mode::Vectorized, Mode::Adaptive];
+const MODES: [Mode; 2] = [Mode::RowMajor, Mode::Vectorized];
+
+fn conf_mode(mode: Mode) -> SparkliteConf {
+    let conf = SparkliteConf::default().with_executors(3).with_optimizer(false);
+    match mode {
+        Mode::RowMajor => conf.with_row_major(true),
+        Mode::Vectorized => conf,
+    }
+}
 
 fn ctx_mode(mode: Mode, batch: usize) -> SparkliteContext {
-    let conf =
-        SparkliteConf::default().with_executors(3).with_optimizer(false).with_batch_size(batch);
-    SparkliteContext::new(match mode {
-        Mode::RowMajor => conf.with_row_major(true),
-        Mode::Batched => conf.with_vectorized(false).with_adaptive(false),
-        Mode::Vectorized => conf.with_vectorized(true).with_adaptive(false),
-        Mode::Adaptive => conf,
-    })
+    SparkliteContext::new(conf_mode(mode).with_batch_size(batch))
 }
 
 /// Runs the same pipeline over the same seed on every physical path and
@@ -220,14 +215,11 @@ fn grouping_stress_shapes_agree_on_all_paths() {
     };
     for shape in ["high", "skewed", "null", "mixed"] {
         for batch in [1usize, 7, 64, 1024] {
-            let baseline = run(Mode::RowMajor, batch, shape);
-            for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
-                assert_eq!(
-                    run(mode, batch, shape),
-                    baseline,
-                    "{mode:?} diverged on shape={shape} batch={batch}"
-                );
-            }
+            assert_eq!(
+                run(Mode::Vectorized, batch, shape),
+                run(Mode::RowMajor, batch, shape),
+                "Vectorized diverged on shape={shape} batch={batch}"
+            );
         }
     }
 }
@@ -286,9 +278,7 @@ fn null_heavy_and_mixed_type_columns_agree() {
     };
     let baseline = run(Mode::RowMajor, 1024);
     for batch in [1usize, 4, 19, 20, 21, 1024] {
-        for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
-            assert_eq!(run(mode, batch), baseline, "{mode:?} diverged at batch={batch}");
-        }
+        assert_eq!(run(Mode::Vectorized, batch), baseline, "Vectorized diverged at batch={batch}");
     }
 }
 
@@ -325,40 +315,57 @@ fn float_payloads_survive_bit_exactly() {
             .unwrap();
         RowCodec.encode(&out)
     };
-    let baseline = run(Mode::RowMajor);
-    for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
-        assert_eq!(run(mode), baseline, "{mode:?} diverged");
+    assert_eq!(run(Mode::Vectorized), run(Mode::RowMajor), "Vectorized diverged");
+}
+
+/// A filter and a group-by over tiny partitions, RowCodec-encoded.
+fn tiny_queries(ctx: &SparkliteContext, rows: i64) -> (Vec<u8>, Vec<u8>) {
+    let filtered = seed_n(ctx, rows)
+        .filter(Expr::cmp(Expr::col("k"), CmpOp::Gt, Expr::lit(Value::I64(-1))))
+        .unwrap()
+        .collect_rows()
+        .unwrap();
+    let grouped = seed_n(ctx, rows)
+        .group_by(&["k"], vec![(Agg::Count, "n".into()), (Agg::Sum("v".into()), "sv".into())])
+        .unwrap()
+        .collect_rows()
+        .unwrap();
+    (RowCodec.encode(&filtered), RowCodec.encode(&grouped))
+}
+
+/// The physical plan depends on the query alone, never on what ran earlier
+/// in the session: long after more than 16 tiny (under 8-row) batches have
+/// flowed through the context, every run still executes the columnar
+/// kernels — `columnar_batches` and `agg_rows_in` keep growing — and returns
+/// the oracle's rows.
+#[test]
+fn physical_plan_does_not_depend_on_session_history() {
+    let oracle = tiny_queries(&SparkliteContext::new(conf_mode(Mode::RowMajor)), 6);
+    let ctx = SparkliteContext::new(conf_mode(Mode::Vectorized));
+    for _ in 0..12 {
+        assert_eq!(tiny_queries(&ctx, 6), oracle);
+    }
+    let m = ctx.metrics();
+    assert!(m.columnar_batches > 16, "too few batches to cross 16: {}", m.columnar_batches);
+    assert!(m.columnar_rows < 8 * m.columnar_batches, "batches were not tiny");
+    let mut last = (m.columnar_batches, m.agg_rows_in);
+    for run in 0..6 {
+        assert_eq!(tiny_queries(&ctx, 6), oracle, "rows changed on run {run}");
+        let m = ctx.metrics();
+        assert!(m.columnar_batches > last.0, "run {run} skipped the batch kernels");
+        assert!(m.agg_rows_in > last.1, "run {run} skipped the hash-aggregation kernel");
+        last = (m.columnar_batches, m.agg_rows_in);
     }
 }
 
-/// The adaptive heuristic: once enough tiny batches have flowed (≥ 16
-/// batches averaging < 8 rows), single-operator pipelines fall back to the
-/// row interpreter, so the `columnar_batches` counter plateaus. With
-/// adaptivity off the counter keeps growing — and both variants return the
-/// same rows throughout.
+/// `ExecConf::batch_size` is a public field, so it can be 0 without going
+/// through the clamping builder. The batch loops must still read every row.
 #[test]
-fn adaptive_execution_plateaus_on_tiny_batches() {
-    let tiny_query = |ctx: &SparkliteContext| {
-        seed_n(ctx, 6)
-            .filter(Expr::cmp(Expr::col("k"), CmpOp::Gt, Expr::lit(Value::I64(-1))))
-            .unwrap()
-            .collect_rows()
-            .unwrap()
-    };
-    let conf = || SparkliteConf::default().with_executors(3).with_optimizer(false);
-    let adaptive = SparkliteContext::new(conf());
-    let forced = SparkliteContext::new(conf().with_adaptive(false));
-    let mut outputs = (Vec::new(), Vec::new());
-    for _ in 0..12 {
-        outputs = (tiny_query(&adaptive), tiny_query(&forced));
-    }
-    let (a1, f1) = (adaptive.metrics().columnar_batches, forced.metrics().columnar_batches);
-    for _ in 0..6 {
-        assert_eq!(tiny_query(&adaptive), outputs.0, "fallback changed the rows");
-        assert_eq!(tiny_query(&forced), outputs.1);
-    }
-    let (a2, f2) = (adaptive.metrics().columnar_batches, forced.metrics().columnar_batches);
-    assert!(a1 >= 16, "adaptive context never crossed the batch threshold: {a1}");
-    assert_eq!(a2, a1, "adaptive context kept batching after the heuristic tripped");
-    assert!(f2 > f1, "forced-columnar context should keep producing batches");
+fn zero_batch_size_set_directly_still_reads_every_row() {
+    let mut conf = conf_mode(Mode::Vectorized);
+    conf.exec.batch_size = 0;
+    let (filtered, grouped) = tiny_queries(&SparkliteContext::new(conf), 50);
+    let oracle = tiny_queries(&SparkliteContext::new(conf_mode(Mode::RowMajor)), 50);
+    assert_eq!(filtered, oracle.0, "filter diverged at batch_size 0");
+    assert_eq!(grouped, oracle.1, "group-by diverged at batch_size 0");
 }
