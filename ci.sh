@@ -91,6 +91,16 @@ cargo test -p sparklite --offline -q --lib batch::tests::sort
 cargo test -p sparklite --offline -q --lib batch::tests::group
 cargo test -p sparklite --offline -q --lib batch::tests::bucket_merge
 
+# Top-K take gate: the scan-key battery's take arm (`take(n)` byte-equal
+# to the `collect()` prefix and to the local path for n around both ends,
+# plain, under 20% chaos and over two dist executors, with error parity),
+# the one-job/no-shuffle/no-cache pin, and the bounded-selection helper's
+# property test against sort-then-take. Re-run by name.
+step "top-k suite (take arm + bounded-selection proptest)"
+cargo test -p rumble-core --offline -q --test scan_keys -- scan_keys_match top_k_take
+cargo test -p sparklite --offline -q --test proptest_rdd top_k
+cargo test -p sparklite --offline -q --lib rdd::top_k
+
 # The repo benchmark (perfbench/, its own cargo workspace) ships
 # self-tests: at 1,500 objects they run group and sort on all three
 # workloads and check every answer against the hand-tuned and naive

@@ -213,18 +213,7 @@ impl PreparedQuery {
     /// Runs and keeps at most `n` items.
     pub fn take(&self, n: usize) -> Result<Vec<Item>> {
         let ctx = self.root_ctx()?;
-        if self.program.body.is_rdd(&ctx) {
-            return Ok(self.program.body.rdd(&ctx)?.take(n)?);
-        }
-        let mut out = Vec::with_capacity(n.min(1024));
-        let mut cursor = self.program.body.open(&ctx)?;
-        while out.len() < n {
-            match cursor.next() {
-                None => break,
-                Some(r) => out.push(r?),
-            }
-        }
-        Ok(out)
+        self.program.body.take(&ctx, n)
     }
 
     /// Counts result items without materializing them on the driver.
@@ -406,6 +395,24 @@ mod tests {
         assert_eq!(plain.items, report.items);
         assert!(plain.plan.contains("mode=dataframe"), "plan:\n{}", plain.plan);
         assert!(!plain.plan.contains("mode=dataframe (fused)"), "plan:\n{}", plain.plan);
+    }
+
+    #[test]
+    fn unbounded_limits_neither_wrap_nor_overflow() {
+        let r = Rumble::default_local();
+        let q = "for $i in parallelize(1 to 100) return $i";
+        // A cap of `usize::MAX` must not wrap `cap + 1` to 0 (an empty result).
+        r.set_materialization_cap(usize::MAX);
+        assert_eq!(r.run(q).unwrap().len(), 100);
+        assert!(!r.was_truncated());
+        // `take(usize::MAX)` must not size its output from `n` (a panic).
+        let prepared = r.compile(q).unwrap();
+        assert!(prepared.is_distributed().unwrap());
+        assert_eq!(prepared.take(usize::MAX).unwrap().len(), 100);
+        // The top-`n` order-by keeps everything without reserving `n` slots.
+        let sorted = r.compile("for $i in parallelize(1 to 100) order by $i descending return $i");
+        let sorted = sorted.unwrap();
+        assert_eq!(sorted.take(usize::MAX).unwrap(), sorted.collect().unwrap());
     }
 
     #[test]

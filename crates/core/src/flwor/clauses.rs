@@ -8,14 +8,16 @@
 //! all").
 
 use super::{
-    bin_of, ctx_from_row, ClauseIterator, ClauseRef, FusedScan, Tuple, TupleCursor, TupleFrame,
+    bin_of, ctx_from_row, ClauseIterator, ClauseRef, FusedScan, TopTuples, Tuple, TupleCursor,
+    TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{decode_items, group_key, seq, Item};
 use crate::runtime::{eval_ebv, follow_key_path, DynamicContext, ExprRef};
+use sparklite::dataframe::batch::encode_row_sort_key;
 use sparklite::dataframe::{Agg, NamedExpr, Row};
 use sparklite::dataframe::{DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, Value};
-use sparklite::rdd::task_bail;
+use sparklite::rdd::{task_bail, TopK};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -1002,6 +1004,30 @@ impl OrderKey {
     }
 }
 
+fn incompatible_sort_keys() -> RumbleError {
+    RumbleError::dynamic(
+        codes::INCOMPATIBLE_SORT_KEYS,
+        "order-by keys mix incompatible types (e.g. strings and numbers)",
+    )
+}
+
+/// ORs one key's class cell into its type-discovery mask.
+fn note_class(mask: &mut u8, class: &Value) {
+    if let Value::I64(c) = *class {
+        if c > 0 {
+            *mask |= 1 << (c as u8);
+        }
+    }
+}
+
+/// §4.8 type discovery: no key may have seen two value classes.
+fn check_classes(masks: &[u8]) -> Result<()> {
+    if masks.iter().any(|m| m.count_ones() > 1) {
+        return Err(incompatible_sort_keys());
+    }
+    Ok(())
+}
+
 /// `order by expr [descending] [empty greatest], …` (§4.8).
 pub struct OrderByClauseIter {
     pub parent: ClauseRef,
@@ -1017,15 +1043,15 @@ impl OrderByClauseIter {
             match seen {
                 None => *seen = Some(c),
                 Some(existing) if *existing == c => {}
-                Some(_) => {
-                    return Err(RumbleError::dynamic(
-                        codes::INCOMPATIBLE_SORT_KEYS,
-                        "order-by keys mix incompatible types (e.g. strings and numbers)",
-                    ))
-                }
+                Some(_) => return Err(incompatible_sort_keys()),
             }
         }
         Ok(())
+    }
+
+    /// Per key, the direction of its rank, string and double sort cells.
+    fn dirs(&self) -> impl Iterator<Item = SortDir> + '_ {
+        self.specs.iter().map(|sp| if sp.descending { SortDir::desc() } else { SortDir::asc() })
     }
 
     /// The tuple stream plus every sort key encoded into native columns —
@@ -1137,11 +1163,7 @@ impl ClauseIterator for OrderByClauseIter {
                 vec![0u8; n],
                 move |mut acc, row| {
                     for (slot, i) in acc.iter_mut().zip(idx.iter()) {
-                        if let Value::I64(c) = row[*i] {
-                            if c > 0 {
-                                *slot |= 1 << (c as u8);
-                            }
-                        }
+                        note_class(slot, &row[*i]);
                     }
                     acc
                 },
@@ -1153,20 +1175,12 @@ impl ClauseIterator for OrderByClauseIter {
                     a
                 },
             )?;
-            for mask in masks {
-                if mask.count_ones() > 1 {
-                    return Err(RumbleError::dynamic(
-                        codes::INCOMPATIBLE_SORT_KEYS,
-                        "order-by keys mix incompatible types (e.g. strings and numbers)",
-                    ));
-                }
-            }
+            check_classes(&masks)?;
         }
 
         // The actual sort on native columns, then drop the scaffolding.
         let mut sort_keys: Vec<(String, SortDir)> = Vec::new();
-        for (i, spec) in self.specs.iter().enumerate() {
-            let dir = if spec.descending { SortDir::desc() } else { SortDir::asc() };
+        for (i, dir) in self.dirs().enumerate() {
             sort_keys.push((format!("__o{i}t"), dir));
             sort_keys.push((format!("__o{i}s"), dir));
             sort_keys.push((format!("__o{i}d"), dir));
@@ -1176,5 +1190,61 @@ impl ClauseIterator for OrderByClauseIter {
         let drop_refs: Vec<&str> = drop.iter().map(|f| f.name.as_str()).collect();
         let df = df.drop_columns(&drop_refs)?;
         Ok(Some(TupleFrame { df, vars }))
+    }
+
+    /// Top-`n` over the scan-key shape, in one job: per partition, encode
+    /// each item's §4.8 cells into the sort key `frame` would sort on, OR
+    /// the class bits (so type discovery raises exactly what it raises on
+    /// the full path), and keep the `n` smallest by (key, position). The
+    /// driver merges the runs by (key, partition, position): the tie order
+    /// of the stable range sort.
+    fn top_k(&self, ctx: &DynamicContext, n: usize) -> Result<Option<TopTuples>> {
+        let Some((scan, paths)) =
+            scan_key_paths(&self.parent, ctx, &self.specs, |sp, var| sp.expr.key_path(var))
+        else {
+            return Ok(None);
+        };
+        let var = Arc::clone(&scan.var);
+        let keys: Vec<(Vec<Arc<str>>, bool)> =
+            paths.into_iter().zip(self.specs.iter().map(|sp| sp.empty_greatest)).collect();
+        // Key `i`'s cells start at `width * i`; its class cell is not sorted on.
+        let width = ORDER_CELLS.len();
+        let spec: Vec<(usize, SortDir)> = self
+            .dirs()
+            .enumerate()
+            .flat_map(|(i, dir)| (0..3).map(move |cell| (width * i + cell, dir)))
+            .collect();
+        let runs = scan
+            .filtered_rdd(ctx)?
+            .map_partitions(move |_, items| {
+                let mut top = TopK::new(n);
+                let mut masks = vec![0u8; keys.len()];
+                let mut cells: Row = Vec::with_capacity(keys.len() * width);
+                for item in items {
+                    cells.clear();
+                    for ((path, empty_greatest), mask) in keys.iter().zip(masks.iter_mut()) {
+                        if let Err(e) =
+                            push_order_cells(path_value(&item, path), *empty_greatest, &mut cells)
+                        {
+                            task_bail(e)
+                        }
+                        note_class(mask, &cells[cells.len() - 1]);
+                    }
+                    top.push(encode_row_sort_key(&cells, &spec), item);
+                }
+                Box::new(std::iter::once((masks, top.offered(), top.into_sorted())))
+            })
+            .collect()?;
+        let mut masks = vec![0u8; self.specs.len()];
+        let mut total = 0u64;
+        let mut sorted_runs = Vec::with_capacity(runs.len());
+        for (run_masks, offered, run) in runs {
+            masks.iter_mut().zip(run_masks).for_each(|(m, r)| *m |= r);
+            total += offered;
+            sorted_runs.push(run);
+        }
+        check_classes(&masks)?;
+        let items: Vec<Item> = TopK::merge(sorted_runs, n).into_iter().map(|(_, i)| i).collect();
+        Ok(Some(TopTuples { var, complete: items.len() as u64 == total, items }))
     }
 }

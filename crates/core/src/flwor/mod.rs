@@ -99,9 +99,25 @@ pub trait ClauseIterator: Send + Sync {
     fn fused_scan(&self) -> Option<FusedScan> {
         None
     }
+
+    /// The first `n` tuples of this stream, selected in ONE job, when the
+    /// clause is an order-by directly on a distributed fused scan with
+    /// static-path keys; `None` for every other shape.
+    fn top_k(&self, _ctx: &DynamicContext, _n: usize) -> Result<Option<TopTuples>> {
+        Ok(None)
+    }
 }
 
 pub type ClauseRef = Arc<dyn ClauseIterator>;
+
+/// See [`ClauseIterator::top_k`]: the winning tuples, in sort order, each
+/// binding `var` to one scan item.
+pub struct TopTuples {
+    pub var: Arc<str>,
+    pub items: Vec<Item>,
+    /// Whether the stream has no tuples beyond `items`.
+    pub complete: bool,
+}
 
 /// See [`ClauseIterator::fused_scan`]: `for $var in source where p1 …`.
 pub struct FusedScan {
@@ -212,6 +228,31 @@ impl FlworIter {
         Ok(frame)
     }
 
+    /// `take(n)` from the top-`n` tuples: the return clause runs on the
+    /// winners only, exactly as the full path's executors would run it.
+    /// `None` when they yield fewer than `n` items while more tuples exist.
+    fn take_top(
+        &self,
+        top: TopTuples,
+        ctx: &DynamicContext,
+        n: usize,
+    ) -> Result<Option<Vec<Item>>> {
+        let base = ctx.enter_executor();
+        let mut out = Vec::new();
+        for item in top.items {
+            if out.len() >= n {
+                break;
+            }
+            let child = base.bind(Arc::clone(&top.var), Arc::new(vec![item]));
+            out.extend(self.return_expr.materialize(&child)?);
+        }
+        if out.len() < n && !top.complete {
+            return Ok(None);
+        }
+        out.truncate(n);
+        Ok(Some(out))
+    }
+
     /// Builds the fused (DataFrame-free) RDD for scan-shaped pipelines:
     /// each `where` becomes a filter and the return expression a flatMap,
     /// all directly over items.
@@ -248,6 +289,17 @@ impl ExprIterator for FlworIter {
         let ctx = ctx.clone();
         let tuples = self.last.tuples(&ctx)?;
         Ok(Box::new(ReturnCursor { tuples, return_expr, ctx, inner: None, failed: false }))
+    }
+
+    fn take(&self, ctx: &DynamicContext, n: usize) -> Result<Vec<Item>> {
+        // Before any `is_rdd` probe: on an order-by that probe already runs
+        // the frame's cache and type-discovery jobs.
+        if let Some(top) = self.last.top_k(ctx, n)? {
+            if let Some(items) = self.take_top(top, ctx, n)? {
+                return Ok(items);
+            }
+        }
+        crate::runtime::take_prefix(self, ctx, n)
     }
 
     fn is_rdd(&self, ctx: &DynamicContext) -> bool {

@@ -250,6 +250,14 @@ pub trait ExprIterator: Send + Sync {
         crate::item::effective_boolean_value(std::slice::from_ref(&first))
     }
 
+    /// The first `n` items of the result (`PreparedQuery::take`; the
+    /// shell's bounded print, §5.4). The default runs the full plan and
+    /// stops after `n` items; a FLWOR ending in an order-by on a fused scan
+    /// overrides it with a one-pass top-`n` selection.
+    fn take(&self, ctx: &DynamicContext, n: usize) -> Result<Vec<Item>> {
+        take_prefix(self, ctx, n)
+    }
+
     /// Materializes the full result. RDD-backed results are collected with
     /// the engine's materialization cap (§5.5).
     fn materialize(&self, ctx: &DynamicContext) -> Result<Vec<Item>> {
@@ -317,12 +325,34 @@ pub type ExprRef = Arc<dyn ExprIterator>;
 pub fn collect_rdd_capped(rdd: Rdd<Item>, ctx: &DynamicContext) -> Result<Vec<Item>> {
     let engine = ctx.engine();
     let cap = engine.materialization_cap.load(std::sync::atomic::Ordering::Relaxed);
-    let mut items = rdd.take(cap + 1)?;
+    // Saturating: at `usize::MAX`, `cap + 1` would wrap to 0 and take nothing.
+    let mut items = rdd.take(cap.saturating_add(1))?;
     if items.len() > cap {
         engine.truncated.store(true, std::sync::atomic::Ordering::Relaxed);
         items.truncate(cap);
     }
     Ok(items)
+}
+
+/// The default [`ExprIterator::take`]: the first `n` items of the RDD or
+/// of the local cursor, whichever form `e` has in `ctx`.
+pub fn take_prefix<E: ExprIterator + ?Sized>(
+    e: &E,
+    ctx: &DynamicContext,
+    n: usize,
+) -> Result<Vec<Item>> {
+    if e.is_rdd(ctx) {
+        return Ok(e.rdd(ctx)?.take(n)?);
+    }
+    let mut out = Vec::with_capacity(n.min(1024));
+    let mut cursor = e.open(ctx)?;
+    while out.len() < n {
+        match cursor.next() {
+            None => break,
+            Some(r) => out.push(r?),
+        }
+    }
+    Ok(out)
 }
 
 /// Evaluates to at most one item, erroring on longer sequences.

@@ -262,6 +262,17 @@ impl ExprIterator for ProfiledIter {
         }))
     }
 
+    fn take(&self, ctx: &DynamicContext, n: usize) -> Result<Vec<Item>> {
+        // Forwarded, so a profiled plan takes the same physical path as an
+        // unprofiled one (a top-`n` order-by never builds its sort frame).
+        self.stats.note_open();
+        let t0 = Instant::now();
+        let items = self.inner.take(ctx, n)?;
+        self.stats.add_ns(t0.elapsed().as_nanos() as u64);
+        self.stats.add_rows(items.len() as u64);
+        Ok(items)
+    }
+
     fn ebv(&self, ctx: &DynamicContext) -> Result<bool> {
         self.stats.note_open();
         self.stats.raise_mode("local");

@@ -115,7 +115,8 @@ fn a_kept_prepared_order_by_frees_its_sort_cache_after_each_run() {
     // An order-by frame caches its keyed rows for the type-discovery pass
     // and the sort. That scaffolding belongs to one execution: a prepared
     // query kept for reuse must not pin it in the cache budget it shares
-    // with persisted sources.
+    // with persisted sources. `take(5)` here is served by the top-`n`
+    // selection, which caches nothing; `collect()` runs the full sort.
     let r = engine(FaultPlan::default());
     r.set_auto_persist(None); // only the order-by's own cache is in play
     r.hdfs_put("/reuse.json", &dataset(2000)).unwrap();
@@ -123,6 +124,9 @@ fn a_kept_prepared_order_by_frees_its_sort_cache_after_each_run() {
     let q = r.compile(QUERY).unwrap();
     for _ in 0..2 {
         assert_eq!(q.take(5).unwrap().len(), 5);
+        let misses = r.sparklite().metrics().cache_misses;
+        assert!(q.collect().unwrap().len() > 5);
+        assert!(r.sparklite().metrics().cache_misses > misses, "collect() ran the sort cache");
         // Executor threads drop their task closures (which hold the last
         // cached handle) just after reporting results, so poll.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

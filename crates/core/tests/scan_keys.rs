@@ -11,6 +11,11 @@
 //!   runs;
 //! * with the source bound by an initial `let`: the local `tuples()` path.
 //!
+//! Every ordered query also runs a fourth way, through `take(n)`: an
+//! order-by on a fused scan answers it with a one-pass top-`n` selection,
+//! which must return exactly the prefix of `collect()` for every `n`, and
+//! raise the same error when any row (chosen or not) has a bad key.
+//!
 //! The whole battery also runs under 20% seeded chaos and over two
 //! distributed executor threads.
 
@@ -107,6 +112,21 @@ const CASES: &[Case] = &[
                  return $i.id"#,
         ordered: true,
     },
+    // Equal keys in every partition: ties must keep scan order.
+    Case {
+        source: MESSY,
+        body: r#"for $i in {src} {gap} order by $i.nested.flag descending return $i.id"#,
+        ordered: true,
+    },
+    // 0 or 2 items per tuple. The 15 smallest ids return nothing, so
+    // `take(n)` for a small `n` falls back to the full sort, while larger
+    // `n` truncate a winner's two items.
+    Case {
+        source: MESSY,
+        body: r#"for $i in {src} where $i.id instance of integer {gap} order by $i.id
+                 return if ($i.id lt 10) then () else ($i.id, $i.id)"#,
+        ordered: true,
+    },
     // A bare `order by $i` over atomics (mixed strings and numbers: error).
     Case {
         source: ATOMS,
@@ -128,6 +148,9 @@ const ERROR_CASES: &[(&str, &str)] = &[
     // Mixed strings and numbers as sort keys.
     (MESSY, r#"for $i in {src} {gap} order by $i.value return $i.id"#),
     (ATOMS, r#"for $i in {src} {gap} order by $i return $i"#),
+    // Mostly integer ids, a few strings (and nulls): the top rows are
+    // clean, the offending ones are never among them.
+    (MESSY, r#"for $i in {src} {gap} order by $i.id return $i.id"#),
 ];
 
 /// The three arms of one query: scan-key, generic, local.
@@ -155,7 +178,23 @@ fn run(r: &Rumble, q: &str, distributed: Option<bool>) -> Result<Vec<String>, Ru
     if let Some(distributed) = distributed {
         assert_eq!(prepared.is_distributed().unwrap(), distributed, "{q}");
     }
-    Ok(prepared.collect()?.iter().map(|i| i.serialize()).collect())
+    Ok(serialized(prepared.collect()?))
+}
+
+fn serialized(items: Vec<rumble_core::Item>) -> Vec<String> {
+    items.iter().map(|i| i.serialize()).collect()
+}
+
+/// The take arm: `take(n)` of the scan-key query must be the first `n`
+/// items of its `collect()` and of the local arm, for `n` around both ends.
+fn check_take(r: &Rumble, q: &str, full: &[String], local: &[String]) {
+    let prepared = r.compile(q).unwrap();
+    let len = full.len();
+    for n in [0, 1, 7, len - 1, len, len + 5] {
+        let got = serialized(prepared.take(n).unwrap_or_else(|e| panic!("take({n}): {q}\n{e}")));
+        assert_eq!(got, full[..n.min(len)], "take({n}) vs collect() prefix:\n{q}");
+        assert_eq!(got, local[..n.min(len)], "take({n}) vs local prefix:\n{q}");
+    }
 }
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
@@ -175,6 +214,7 @@ fn battery(r: &Rumble) -> Vec<Vec<String>> {
         assert_eq!(scan, generic, "scan-key vs generic path:\n{scan_q}");
         if case.ordered {
             assert_eq!(scan, local, "scan-key vs local path:\n{scan_q}");
+            check_take(r, &scan_q, &scan, &local);
         } else {
             assert_eq!(sorted(scan.clone()), sorted(local), "scan-key vs local path:\n{scan_q}");
         }
@@ -195,6 +235,18 @@ fn battery(r: &Rumble) -> Vec<Vec<String>> {
             "scan-key vs generic error:\n{scan_q}"
         );
         assert_eq!(scan.code, local.code, "scan-key vs local error:\n{scan_q}\n{scan}\n{local}");
+        if !body.contains("order by") {
+            continue;
+        }
+        let prepared = r.compile(&scan_q).unwrap();
+        for n in [0, 1, 7] {
+            let took = prepared.take(n).expect_err(&scan_q);
+            assert_eq!(
+                (took.code, &took.message),
+                (scan.code, &scan.message),
+                "take({n}) vs collect() error:\n{scan_q}"
+            );
+        }
     }
     results
 }
@@ -224,4 +276,24 @@ fn mixed_sort_keys_raise_incompatible_sort_keys() {
     let err = run(&r, &scan_q, None).unwrap_err();
     assert_eq!(err.code, rumble_core::error::codes::INCOMPATIBLE_SORT_KEYS);
     assert!(err.message.contains("incompatible"), "{err}");
+}
+
+#[test]
+fn top_k_take_runs_one_job_without_shuffle_or_cache() {
+    let r = engine(SparkliteConf::default().with_executors(2));
+    let q = r
+        .compile(&format!(
+            "for $i in {MESSY} order by $i.nested.k descending, $i.nested.flag return $i.id"
+        ))
+        .unwrap();
+    let first = q.take(10).unwrap(); // the cold run also persists the source
+    let before = r.sparklite().metrics();
+    let again = q.take(10).unwrap();
+    let after = r.sparklite().metrics();
+    assert_eq!(again, first);
+    assert_eq!(after.jobs - before.jobs, 1, "one selection job, nothing else");
+    assert_eq!(after.shuffle_records - before.shuffle_records, 0, "no range shuffle");
+    assert_eq!(after.cache_misses - before.cache_misses, 0, "no keyed-frame cache");
+    assert_eq!(after.cached_bytes, before.cached_bytes, "nothing cached");
+    assert_eq!(again, q.collect().unwrap()[..10]);
 }

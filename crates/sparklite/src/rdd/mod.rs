@@ -18,9 +18,11 @@
 
 mod pair;
 mod shuffle;
+mod top_k;
 pub mod util;
 
 pub use shuffle::*;
+pub use top_k::TopK;
 
 use crate::context::Core;
 use crate::error::Result;
@@ -271,7 +273,10 @@ impl<T: Data> Rdd<T> {
             &self.op,
             Arc::new(move |iter: BoxIter<T>, _| iter.take(n).collect::<Vec<T>>()),
         )?;
-        let mut out = Vec::with_capacity(n);
+        // Sized from the rows actually returned, never from `n`: a huge `n`
+        // (a capped collect, or `usize::MAX`) must not reserve memory.
+        let returned: usize = parts.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(returned.min(n));
         for p in parts {
             for x in p {
                 if out.len() == n {
@@ -694,6 +699,14 @@ mod tests {
         assert_eq!(rdd.take(0).unwrap(), Vec::<i32>::new());
         assert_eq!(rdd.take(2000).unwrap().len(), 1000);
         assert_eq!(rdd.first().unwrap(), Some(0));
+    }
+
+    #[test]
+    fn take_of_an_unbounded_limit_reserves_nothing_up_front() {
+        // The output must not be sized from `n` ("capacity overflow").
+        let sc = sc();
+        let rdd = sc.parallelize((0..100).collect::<Vec<i32>>(), 4);
+        assert_eq!(rdd.take(usize::MAX).unwrap(), (0..100).collect::<Vec<i32>>());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! counts.
 
 use proptest::prelude::*;
+use sparklite::rdd::TopK;
 use sparklite::{SparkliteConf, SparkliteContext};
 use std::collections::HashMap;
 
@@ -106,6 +107,33 @@ proptest! {
         let sc = ctx();
         let got = sc.parallelize(data.clone(), parts).take(n).unwrap();
         prop_assert_eq!(got.as_slice(), &data[..n.min(data.len())]);
+    }
+
+    #[test]
+    fn top_k_matches_sort_then_take(
+        keys in prop::collection::vec(0u8..8, 0..300),
+        parts in 1usize..7,
+        out_parts in 1usize..7,
+        n in 0usize..60,
+    ) {
+        // Few distinct keys, so ties span partitions; the index tags each
+        // element, so the comparison sees the tie order too.
+        let sc = ctx();
+        let data: Vec<(u8, usize)> = keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
+        let rdd = sc.parallelize(data, parts);
+        let runs = rdd
+            .map_partitions(move |_, items| {
+                let mut top = TopK::new(n);
+                for x in items {
+                    top.push(x.0, x);
+                }
+                Box::new(std::iter::once(top.into_sorted()))
+            })
+            .collect()
+            .unwrap();
+        let got: Vec<(u8, usize)> = TopK::merge(runs, n).into_iter().map(|(_, x)| x).collect();
+        let expect = rdd.sort_by(|x| x.0, true, out_parts).take(n).unwrap();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]
